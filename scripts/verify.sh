@@ -216,9 +216,9 @@ grep -q '(0 abandoned)' "$tmpdir/serve_batch.log" || {
 }
 echo "batching smoke: 2 identical tables, $shared_hits shared subquery hit(s)"
 
-echo "==> bench smoke (counters reproduce BENCH_10.json across thread budgets, gate holds)"
+echo "==> bench smoke (counters reproduce BENCH_12.json across thread budgets, gate holds)"
 cargo run --release -q -p lusail-bench --bin lusail-bench -- \
-    check --against BENCH_10.json --workload lubm --query Q4 --threads 1 --threads 4
+    check --against BENCH_12.json --workload lubm --query Q4 --threads 1 --threads 4
 
 echo "==> fuzz smoke (200 iterations, 30 s cap)"
 set +e
