@@ -21,6 +21,7 @@ use crate::exec::{evaluate_subqueries, ExecConfig, Net};
 use crate::explain::render_pattern;
 use crate::gjv::detect_gjvs;
 use crate::metrics::QueryMetrics;
+use crate::mqo::BatchMemo;
 use crate::source_selection::{select_sources, SourceMap};
 use crate::subquery::Subquery;
 use lusail_endpoint::{
@@ -325,21 +326,41 @@ impl Lusail {
         if fed.is_empty() {
             return Err(FederationError::EmptyFederation);
         }
+        Ok(self.execute_item(fed, query, opts, None))
+    }
+
+    /// Runs one query under `opts` on a fresh [`Net`] and emits the
+    /// terminal [`TraceEvent::QueryFinished`]. A solo query passes no
+    /// memo; a batch item passes its batch's [`BatchMemo`], so a solo
+    /// query is exactly a batch of one.
+    pub(crate) fn execute_item(
+        &self,
+        fed: &Federation,
+        query: &Query,
+        opts: &ExecOptions,
+        memo: Option<&mut BatchMemo>,
+    ) -> QueryResult {
         let net = self.fresh_net_with(opts);
-        let result = self.execute_with_net(fed, query, &net);
+        let result = self.execute_with_net(fed, query, &net, memo);
         opts.trace.emit(|| TraceEvent::QueryFinished {
             rows: result.solutions.len(),
             complete: result.complete,
         });
-        Ok(result)
+        result
     }
 
-    fn execute_with_net(&self, fed: &Federation, query: &Query, net: &Net) -> QueryResult {
+    fn execute_with_net(
+        &self,
+        fed: &Federation,
+        query: &Query,
+        net: &Net,
+        memo: Option<&mut BatchMemo>,
+    ) -> QueryResult {
         // A federated `SELECT (COUNT(*) AS ?c)` must count the *global*
         // result, not concatenate per-endpoint counts: normalize it to an
         // aggregate query handled at the mediator.
         if let Some(rewritten) = query.count_star_as_aggregate() {
-            return self.execute_with_net(fed, &rewritten, net);
+            return self.execute_with_net(fed, &rewritten, net, memo);
         }
         let mut metrics = QueryMetrics::default();
         // Phase timings come from the same (injectable) clock the request
@@ -348,165 +369,48 @@ impl Lusail {
         let clock = self.timing_clock();
         let t_total = clock.now();
 
-        if let Some((endpoints, sets)) = fed.stats_overview() {
-            net.trace
-                .emit(|| TraceEvent::StatsLoaded { endpoints, sets });
-        }
-
-        // ---- Phase 1: source selection --------------------------------
-        let s0 = fed.stats_snapshot();
-        let t0 = clock.now();
-        let sources = select_sources(fed, &query.pattern, &self.ask_cache, net);
-        metrics.source_selection = clock.now().saturating_sub(t0);
-        let s1 = fed.stats_snapshot();
-        metrics.requests_source_selection = s1.since(&s0);
-
-        // A required pattern with no source ⇒ empty result, no more work.
-        if sources.any_required_empty(&query.pattern.triples) {
-            metrics.total = clock.now().saturating_sub(t_total);
-            let (complete, failures) = self.finish(fed, net, &mut metrics);
-            return QueryResult {
-                solutions: SolutionSet::empty(query.output_vars()),
-                metrics,
-                complete,
-                failures,
-            };
-        }
-
-        // ---- Phase 2: analysis (LADE + cost model) ---------------------
-        let t1 = clock.now();
-        let analysis = if self.config.disable_lade {
-            crate::gjv::GjvAnalysis::default()
-        } else {
-            detect_gjvs(
-                fed,
-                &query.pattern.triples,
-                &sources,
-                &self.check_cache,
-                net,
-            )
-        };
-        metrics.check_queries = analysis.check_queries;
-        metrics.gjvs = analysis.gjvs.clone();
-
-        // Disjoint fast path (Algorithm 3, line 2): the entire query can be
-        // answered independently at each endpoint.
-        let order_vars_projected = {
-            let out = query.output_vars();
-            query.order_by.iter().all(|k| out.contains(&k.var))
-        };
-        let simple_pattern = query.pattern.optionals.is_empty()
-            && query.pattern.unions.is_empty()
-            && query.pattern.not_exists.is_empty()
-            && query.pattern.values.is_none()
-            && query.aggregates.is_empty()
-            && order_vars_projected
-            && !query.pattern.triples.is_empty();
-        if !self.config.disable_lade
-            && simple_pattern
-            && is_disjoint(&query.pattern.triples, &sources, &analysis)
-        {
-            metrics.analysis = clock.now().saturating_sub(t1);
-            let s2 = fed.stats_snapshot();
-            metrics.requests_analysis = s2.since(&s1);
-            metrics.subqueries = 1;
-            net.trace.emit(|| TraceEvent::Decomposed {
-                subqueries: 1,
-                gjvs: analysis.gjvs.len(),
-            });
-            let t2 = clock.now();
-            let solutions = self.execute_disjoint(fed, query, &sources, net);
-            metrics.execution = clock.now().saturating_sub(t2);
-            metrics.requests_execution = fed.stats_snapshot().since(&s2);
-            metrics.result_rows = solutions.len();
-            metrics.total = clock.now().saturating_sub(t_total);
-            let (complete, failures) = self.finish(fed, net, &mut metrics);
-            return QueryResult {
-                solutions,
-                metrics,
-                complete,
-                failures,
-            };
-        }
-
-        // General path: decompose, estimate, and plan the top-level group.
-        let mut subqueries = if self.config.disable_lade {
-            let subqueries = singleton_subqueries(&query.pattern.triples, &sources);
-            net.trace.emit(|| TraceEvent::Decomposed {
-                subqueries: subqueries.len(),
-                gjvs: analysis.gjvs.len(),
-            });
-            subqueries
-        } else {
-            decompose_traced(&query.pattern.triples, &sources, &analysis, &net.trace)
-        };
-        let global_filters = push_filters(&query.pattern.filters, &mut subqueries);
-        shrink_projections(query, &mut subqueries, &global_filters);
-        metrics.subqueries = subqueries.len();
-
-        let costs = if subqueries.len() > 1 {
-            let cardinality = estimate_cardinalities(fed, net, &subqueries, &self.count_cache);
-            let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
-            let decision = decide_delays_detailed(&cardinality, &fanouts, self.config.delay_policy);
-            for (i, sq) in subqueries.iter().enumerate() {
-                net.trace.emit(|| TraceEvent::SubqueryPlanned {
-                    index: i,
-                    patterns: sq
-                        .triples
-                        .iter()
-                        .map(|tp| render_pattern(tp, fed.dict()))
-                        .collect(),
-                    sources: sq.sources.len(),
-                    cardinality: cardinality[i],
-                    fanout: fanouts[i],
-                    delayed: decision.delayed[i],
-                    delay_reason: decision.reason(i, cardinality[i], fanouts[i]),
-                });
-            }
-            SubqueryCosts {
-                cardinality,
-                delayed: decision.delayed,
-            }
-        } else {
-            for (i, sq) in subqueries.iter().enumerate() {
-                net.trace.emit(|| TraceEvent::SubqueryPlanned {
-                    index: i,
-                    patterns: sq
-                        .triples
-                        .iter()
-                        .map(|tp| render_pattern(tp, fed.dict()))
-                        .collect(),
-                    sources: sq.sources.len(),
-                    cardinality: 0,
-                    fanout: sq.sources.len(),
-                    delayed: false,
-                    delay_reason: None,
-                });
-            }
-            SubqueryCosts {
-                cardinality: vec![0; subqueries.len()],
-                delayed: vec![false; subqueries.len()],
-            }
-        };
-        metrics.analysis = clock.now().saturating_sub(t1);
-        let s2 = fed.stats_snapshot();
-        metrics.requests_analysis = s2.since(&s1);
+        // ---- Phases 1 and 2: source selection, analysis ----------------
+        let plan = self.plan_conjunctive(fed, query, net, &mut metrics);
 
         // ---- Phase 3: execution (SAPE) ---------------------------------
+        let s2 = fed.stats_snapshot();
         let t2 = clock.now();
-        let exec_cfg = ExecConfig::for_engine(&self.config, net.threads);
-        let (mut solutions, report) = evaluate_subqueries(fed, net, &subqueries, &costs, &exec_cfg);
-        metrics.delayed_subqueries = report.delayed;
+        let solutions = match plan {
+            // A required pattern with no source ⇒ empty result, no more work.
+            ConjunctivePlan::Empty => {
+                metrics.total = clock.now().saturating_sub(t_total);
+                let (complete, failures) = self.finish(fed, net, &mut metrics);
+                return QueryResult {
+                    solutions: SolutionSet::empty(query.output_vars()),
+                    metrics,
+                    complete,
+                    failures,
+                };
+            }
+            ConjunctivePlan::Disjoint(sources) => self.execute_disjoint(fed, query, &sources, net),
+            ConjunctivePlan::Planned {
+                subqueries,
+                costs,
+                global_filters,
+            } => {
+                let exec_cfg = ExecConfig::for_engine(&self.config, net.threads);
+                let (solutions, report) =
+                    evaluate_subqueries(fed, net, &subqueries, &costs, &exec_cfg, memo);
+                metrics.delayed_subqueries = report.delayed;
 
-        // Combine the nested groups at the global level.
-        solutions = self.apply_nested(fed, &query.pattern, solutions, &global_filters, net);
+                // Combine the nested groups at the global level.
+                let solutions =
+                    self.apply_nested(fed, &query.pattern, solutions, &global_filters, net);
 
-        // Query-level modifiers (aggregation, ORDER BY over the full
-        // schema, projection, DISTINCT, LIMIT) happen here, at the
-        // mediator, over the complete federated solution sequence. The
-        // paper notes Lusail's LIMIT is naive: compute everything, return
-        // the first `limit` rows (see the C4 discussion, §VI-C).
-        solutions = lusail_store::eval::apply_modifiers(solutions, query, fed.dict());
+                // Query-level modifiers (aggregation, ORDER BY over the
+                // full schema, projection, DISTINCT, LIMIT) happen here,
+                // at the mediator, over the complete federated solution
+                // sequence. The paper notes Lusail's LIMIT is naive:
+                // compute everything, return the first `limit` rows (see
+                // the C4 discussion, §VI-C).
+                lusail_store::eval::apply_modifiers(solutions, query, fed.dict())
+            }
+        };
 
         metrics.execution = clock.now().saturating_sub(t2);
         metrics.requests_execution = fed.stats_snapshot().since(&s2);
@@ -581,7 +485,7 @@ impl Lusail {
             }
         };
         let exec_cfg = ExecConfig::for_engine(&self.config, net.threads);
-        let (solutions, _) = evaluate_subqueries(fed, net, &subqueries, &costs, &exec_cfg);
+        let (solutions, _) = evaluate_subqueries(fed, net, &subqueries, &costs, &exec_cfg, None);
         self.apply_nested(fed, group, solutions, &global_filters, net)
     }
 
@@ -611,11 +515,7 @@ impl Lusail {
     }
 }
 
-/// What compile-time planning decided for a conjunctive query. Mirrors
-/// the branch structure of `execute_with_net` exactly so a caller holding
-/// the same [`Net`] can complete execution without re-running (and
-/// re-paying for) source selection — failed ASK probes are not cached, so
-/// planning twice costs real wire requests against degraded federations.
+/// What compile-time planning decided for a query's top-level group.
 pub(crate) enum ConjunctivePlan {
     /// A required pattern has no relevant source: the answer is empty.
     Empty,
@@ -632,32 +532,72 @@ pub(crate) enum ConjunctivePlan {
 }
 
 impl Lusail {
-    /// Compile-time planning for a *conjunctive* query: source selection,
-    /// LADE, the disjoint check, filter pushdown, projection shrinking,
-    /// and the cost model. The returned [`ConjunctivePlan`] reproduces
-    /// `execute_with_net`'s own routing decisions, so executing it against
-    /// the same [`Net`] yields the same answers and the same wire traffic
-    /// as a solo run. Callers must pre-screen queries with nested clauses,
-    /// aggregates, non-SELECT forms, empty patterns, or `disable_lade` —
-    /// those take paths this planner does not model. Used by the
-    /// multi-query optimizer.
+    /// The one planner for a query's top-level group: source selection,
+    /// LADE (or the singleton decomposition when it is disabled), the
+    /// disjoint check, filter pushdown, projection shrinking, and the cost
+    /// model. Records the source-selection and analysis phases (timings,
+    /// request windows, check queries, GJVs, subquery count) into
+    /// `metrics` and emits the planning trace events.
     pub(crate) fn plan_conjunctive(
         &self,
         fed: &Federation,
         query: &Query,
         net: &Net,
+        metrics: &mut QueryMetrics,
     ) -> ConjunctivePlan {
+        let clock = self.timing_clock();
+        if let Some((endpoints, sets)) = fed.stats_overview() {
+            net.trace
+                .emit(|| TraceEvent::StatsLoaded { endpoints, sets });
+        }
+
+        // ---- Phase 1: source selection --------------------------------
+        let s0 = fed.stats_snapshot();
+        let t0 = clock.now();
         let sources = select_sources(fed, &query.pattern, &self.ask_cache, net);
+        metrics.source_selection = clock.now().saturating_sub(t0);
+        let s1 = fed.stats_snapshot();
+        metrics.requests_source_selection = s1.since(&s0);
         if sources.any_required_empty(&query.pattern.triples) {
             return ConjunctivePlan::Empty;
         }
-        let analysis = detect_gjvs(
-            fed,
-            &query.pattern.triples,
-            &sources,
-            &self.check_cache,
-            net,
-        );
+
+        // ---- Phase 2: analysis (LADE + cost model) ---------------------
+        let t1 = clock.now();
+        let analysis = if self.config.disable_lade {
+            crate::gjv::GjvAnalysis::default()
+        } else {
+            detect_gjvs(
+                fed,
+                &query.pattern.triples,
+                &sources,
+                &self.check_cache,
+                net,
+            )
+        };
+        metrics.check_queries = analysis.check_queries;
+        metrics.gjvs = analysis.gjvs.clone();
+        let plan = self.decompose_and_cost(fed, query, sources, &analysis, net);
+        metrics.subqueries = match &plan {
+            ConjunctivePlan::Planned { subqueries, .. } => subqueries.len(),
+            _ => 1,
+        };
+        metrics.analysis = clock.now().saturating_sub(t1);
+        metrics.requests_analysis = fed.stats_snapshot().since(&s1);
+        plan
+    }
+
+    /// The analysis phase after LADE: the disjoint check (Algorithm 3,
+    /// line 2), then decomposition, filter pushdown, projection shrinking,
+    /// and the cost model's delay decisions.
+    fn decompose_and_cost(
+        &self,
+        fed: &Federation,
+        query: &Query,
+        sources: SourceMap,
+        analysis: &crate::gjv::GjvAnalysis,
+        net: &Net,
+    ) -> ConjunctivePlan {
         let order_vars_projected = {
             let out = query.output_vars();
             query.order_by.iter().all(|k| out.contains(&k.var))
@@ -669,45 +609,64 @@ impl Lusail {
             && query.aggregates.is_empty()
             && order_vars_projected
             && !query.pattern.triples.is_empty();
-        if simple_pattern && is_disjoint(&query.pattern.triples, &sources, &analysis) {
+        if !self.config.disable_lade
+            && simple_pattern
+            && is_disjoint(&query.pattern.triples, &sources, analysis)
+        {
+            net.trace.emit(|| TraceEvent::Decomposed {
+                subqueries: 1,
+                gjvs: analysis.gjvs.len(),
+            });
             return ConjunctivePlan::Disjoint(sources);
         }
-        let mut subqueries =
-            decompose_traced(&query.pattern.triples, &sources, &analysis, &net.trace);
+        let mut subqueries = if self.config.disable_lade {
+            let subqueries = singleton_subqueries(&query.pattern.triples, &sources);
+            net.trace.emit(|| TraceEvent::Decomposed {
+                subqueries: subqueries.len(),
+                gjvs: analysis.gjvs.len(),
+            });
+            subqueries
+        } else {
+            decompose_traced(&query.pattern.triples, &sources, analysis, &net.trace)
+        };
         let global_filters = push_filters(&query.pattern.filters, &mut subqueries);
         shrink_projections(query, &mut subqueries, &global_filters);
-        let costs = if subqueries.len() > 1 {
+        let n = subqueries.len();
+        let (cardinality, decision) = if n > 1 {
             let cardinality = estimate_cardinalities(fed, net, &subqueries, &self.count_cache);
             let fanouts: Vec<usize> = subqueries.iter().map(|sq| sq.sources.len()).collect();
             let decision = decide_delays_detailed(&cardinality, &fanouts, self.config.delay_policy);
-            for (i, sq) in subqueries.iter().enumerate() {
-                net.trace.emit(|| TraceEvent::SubqueryPlanned {
-                    index: i,
-                    patterns: sq
-                        .triples
-                        .iter()
-                        .map(|tp| render_pattern(tp, fed.dict()))
-                        .collect(),
-                    sources: sq.sources.len(),
-                    cardinality: cardinality[i],
-                    fanout: fanouts[i],
-                    delayed: decision.delayed[i],
-                    delay_reason: decision.reason(i, cardinality[i], fanouts[i]),
-                });
-            }
-            SubqueryCosts {
-                cardinality,
-                delayed: decision.delayed,
-            }
+            (cardinality, Some(decision))
         } else {
-            SubqueryCosts {
-                cardinality: vec![0; subqueries.len()],
-                delayed: vec![false; subqueries.len()],
-            }
+            (vec![0; n], None)
         };
+        let delayed = match &decision {
+            Some(decision) => decision.delayed.clone(),
+            None => vec![false; n],
+        };
+        for (i, sq) in subqueries.iter().enumerate() {
+            net.trace.emit(|| TraceEvent::SubqueryPlanned {
+                index: i,
+                patterns: sq
+                    .triples
+                    .iter()
+                    .map(|tp| render_pattern(tp, fed.dict()))
+                    .collect(),
+                sources: sq.sources.len(),
+                cardinality: cardinality[i],
+                fanout: sq.sources.len(),
+                delayed: delayed[i],
+                delay_reason: decision
+                    .as_ref()
+                    .and_then(|d| d.reason(i, cardinality[i], sq.sources.len())),
+            });
+        }
         ConjunctivePlan::Planned {
             subqueries,
-            costs,
+            costs: SubqueryCosts {
+                cardinality,
+                delayed,
+            },
             global_filters,
         }
     }

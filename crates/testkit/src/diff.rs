@@ -603,8 +603,11 @@ pub fn check_backends(
 /// order-invariant.
 ///
 /// Wire contract: batching is a pure saving — the batch never issues
-/// more total requests than the sequential baseline, and in a clean run
-/// whose report claims saved requests, strictly fewer.
+/// more ASK, SELECT or COUNT requests, nor ships more rows or result
+/// bytes, than the sequential baseline, and in a clean run whose report
+/// claims saved requests, strictly fewer requests. A batch of one *is*
+/// solo execution: at window 1 every counter of the wire window must
+/// equal the baseline's exactly.
 ///
 /// Returns the batch's [`BatchReport`](lusail_core::BatchReport) so
 /// sweeps can assert aggregate sharing coverage.
@@ -647,10 +650,7 @@ pub fn check_batched(
             .map_err(|e| Violation::EngineError(format!("{e:?}")))?;
         solos.push(result);
     }
-    let solo_wire = solo_fed
-        .stats_snapshot()
-        .since(&solo_before)
-        .total_requests();
+    let solo_wire = solo_fed.stats_snapshot().since(&solo_before);
 
     // The solo answers themselves stay under the ordinary oracle
     // contract when nothing is faulted (LIMIT aside — any k oracle rows
@@ -679,7 +679,7 @@ pub fn check_batched(
         .collect();
     let before = fed.stats_snapshot();
     let (outcomes, report) = engine.execute_batch_with(&fed, &items);
-    let batched_wire = fed.stats_snapshot().since(&before).total_requests();
+    let batched_wire = fed.stats_snapshot().since(&before);
 
     for (index, (outcome, solo)) in outcomes.iter().zip(&solos).enumerate() {
         let diverged = |facet, batched: String, solo: String| Violation::BatchDivergence {
@@ -729,26 +729,64 @@ pub fn check_batched(
         }
     }
 
-    if batched_wire > solo_wire {
-        return Err(Violation::BatchDivergence {
-            window,
-            index: 0,
-            facet: "wire",
-            batched: format!("{batched_wire} requests"),
-            solo: format!("{solo_wire} requests"),
-        });
+    let wire_diverged = |batched: String, solo: String| Violation::BatchDivergence {
+        window,
+        index: 0,
+        facet: "wire",
+        batched,
+        solo,
+    };
+    if window == 1 && batched_wire != solo_wire {
+        return Err(wire_diverged(
+            format!("{batched_wire:?}"),
+            format!("{solo_wire:?}"),
+        ));
     }
-    if clean && report.wire_requests_saved > 0 && batched_wire >= solo_wire {
-        return Err(Violation::BatchDivergence {
-            window,
-            index: 0,
-            facet: "wire",
-            batched: format!(
-                "{batched_wire} requests (claims {} saved)",
+    let gated = [
+        (
+            "ASK requests",
+            batched_wire.ask_requests,
+            solo_wire.ask_requests,
+        ),
+        (
+            "SELECT requests",
+            batched_wire.select_requests,
+            solo_wire.select_requests,
+        ),
+        (
+            "COUNT requests",
+            batched_wire.count_requests,
+            solo_wire.count_requests,
+        ),
+        (
+            "rows returned",
+            batched_wire.rows_returned,
+            solo_wire.rows_returned,
+        ),
+        (
+            "bytes returned",
+            batched_wire.bytes_returned,
+            solo_wire.bytes_returned,
+        ),
+    ];
+    for (what, batched, solo) in gated {
+        if batched > solo {
+            return Err(wire_diverged(
+                format!("{batched} {what}"),
+                format!("{solo} {what}"),
+            ));
+        }
+    }
+    let (batched_requests, solo_requests) =
+        (batched_wire.total_requests(), solo_wire.total_requests());
+    if clean && report.wire_requests_saved > 0 && batched_requests >= solo_requests {
+        return Err(wire_diverged(
+            format!(
+                "{batched_requests} requests (claims {} saved)",
                 report.wire_requests_saved
             ),
-            solo: format!("{solo_wire} requests"),
-        });
+            format!("{solo_requests} requests"),
+        ));
     }
     Ok(report)
 }

@@ -11,6 +11,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# `cargo test -q` at the root tests only the root package; the crates'
+# own unit and integration tests (executor, MQO, server batching, …)
+# run here.
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 

@@ -162,6 +162,153 @@ fn mqo_shares_across_the_c2p2_family() {
     );
 }
 
+/// Runs `queries` solo, one after another on one engine (probe caches
+/// shared, as a server with batching off would), then as one batch on a
+/// fresh engine. Returns the batched results, the solo results, and the
+/// wire windows of the batch and of the whole solo sequence.
+fn solo_then_batched(
+    fed: &lusail_endpoint::Federation,
+    queries: &[lusail_sparql::Query],
+) -> (
+    Vec<lusail_core::QueryResult>,
+    Vec<lusail_core::QueryResult>,
+    lusail_endpoint::StatsSnapshot,
+    lusail_endpoint::StatsSnapshot,
+) {
+    let solo_engine = Lusail::default();
+    let before = fed.stats_snapshot();
+    let solo: Vec<_> = queries
+        .iter()
+        .map(|q| solo_engine.execute(fed, q).unwrap())
+        .collect();
+    let solo_wire = fed.stats_snapshot().since(&before);
+    let before = fed.stats_snapshot();
+    let (batched, _) = Lusail::default().execute_batch(fed, queries).unwrap();
+    let batched_wire = fed.stats_snapshot().since(&before);
+    (batched, solo, batched_wire, solo_wire)
+}
+
+/// Every wire counter of `batched` is at most the same counter of `solo`.
+fn assert_wire_within(
+    what: &str,
+    batched: &lusail_endpoint::StatsSnapshot,
+    solo: &lusail_endpoint::StatsSnapshot,
+) {
+    let counters = [
+        ("ASK requests", batched.ask_requests, solo.ask_requests),
+        (
+            "SELECT requests",
+            batched.select_requests,
+            solo.select_requests,
+        ),
+        (
+            "COUNT requests",
+            batched.count_requests,
+            solo.count_requests,
+        ),
+        ("bytes sent", batched.bytes_sent, solo.bytes_sent),
+        (
+            "bytes returned",
+            batched.bytes_returned,
+            solo.bytes_returned,
+        ),
+        ("rows returned", batched.rows_returned, solo.rows_returned),
+    ];
+    for (counter, b, s) in counters {
+        assert!(b <= s, "{what}: batched {counter} {b} > solo {s}");
+    }
+}
+
+#[test]
+fn heterogeneous_window_matches_solo_and_ships_no_more() {
+    // One window holding every LargeRDFBench query (simple, complex and
+    // big-data, OPTIONAL and UNION included), then the whole QFed set:
+    // every answer equals its solo run and no wire counter exceeds the
+    // solo sequence's.
+    let lrb = lusail_benchdata::lrb::generate(&lusail_benchdata::lrb::LrbConfig::default());
+    let qfed = qfed::generate(&qfed::QfedConfig::default());
+    for (name, w) in [("LRB", &lrb), ("QFed", &qfed)] {
+        let queries: Vec<lusail_sparql::Query> =
+            w.queries.iter().map(|nq| nq.query.clone()).collect();
+        let (batched, solo, batched_wire, solo_wire) = solo_then_batched(&w.federation, &queries);
+        for ((nq, b), s) in w.queries.iter().zip(&batched).zip(&solo) {
+            assert_eq!(
+                b.solutions.canonicalize(),
+                s.solutions.canonicalize(),
+                "{name} {}: batched answer differs from solo",
+                nq.name
+            );
+            assert_eq!(b.complete, s.complete, "{name} {}", nq.name);
+        }
+        assert_wire_within(name, &batched_wire, &solo_wire);
+    }
+}
+
+#[test]
+fn repeated_big_queries_ship_no_more_rows_than_one_solo_run() {
+    // A batch of two identical items runs SAPE once: the second item is
+    // served from the batch memo, bound VALUES rounds included, so the
+    // batch ships no more rows than a single solo run.
+    let w = lusail_benchdata::lrb::generate(&lusail_benchdata::lrb::LrbConfig::default());
+    for name in ["B2", "S13"] {
+        let q = &w.query(name).query;
+        let before = w.federation.stats_snapshot();
+        let solo = Lusail::default().execute(&w.federation, q).unwrap();
+        let solo_rows = w.federation.stats_snapshot().since(&before).rows_returned;
+        let before = w.federation.stats_snapshot();
+        let (batched, report) = Lusail::default()
+            .execute_batch(&w.federation, &[q.clone(), q.clone()])
+            .unwrap();
+        let batched_rows = w.federation.stats_snapshot().since(&before).rows_returned;
+        assert!(
+            batched_rows <= solo_rows,
+            "{name}: a batch of two shipped {batched_rows} rows, one solo run {solo_rows}"
+        );
+        assert!(report.shared_hits > 0, "{name}: {report:?}");
+        for r in &batched {
+            assert_eq!(r.solutions.canonicalize(), solo.solutions.canonicalize());
+        }
+    }
+}
+
+#[test]
+fn batched_delayed_subquery_is_bound_with_values_blocks() {
+    // Batching keeps SAPE: an item's delayed subquery is evaluated as a
+    // bound subquery over VALUES blocks of its own non-delayed bindings,
+    // and a batch of one reports the same counters as solo execution.
+    use lusail_endpoint::{TraceEvent, TraceSink};
+    let w = lusail_benchdata::lrb::generate(&lusail_benchdata::lrb::LrbConfig::default());
+    let q = &w.query("B2").query;
+    let solo = Lusail::default().execute(&w.federation, q).unwrap();
+    assert!(solo.metrics.delayed_subqueries > 0, "B2 delays no subquery");
+    let opts = ExecOptions::default().with_trace(TraceSink::enabled());
+    let item = lusail_core::BatchItem {
+        query: q.clone(),
+        opts: opts.clone(),
+    };
+    let (outcomes, _) = Lusail::default().execute_batch_with(&w.federation, &[item]);
+    let lusail_core::BatchOutcome::Finished(batched) = &outcomes[0] else {
+        panic!("batch item did not finish: {:?}", outcomes[0]);
+    };
+    let events = opts.trace.events();
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::ValuesBatch { .. })),
+        "the batched delayed subquery shipped no VALUES block"
+    );
+    let (b, s) = (&batched.metrics, &solo.metrics);
+    assert_eq!(b.subqueries, s.subqueries);
+    assert_eq!(b.delayed_subqueries, s.delayed_subqueries);
+    assert_eq!(b.gjvs, s.gjvs);
+    assert_eq!(b.check_queries, s.check_queries);
+    assert_eq!(b.result_rows, s.result_rows);
+    assert_eq!(b.requests_source_selection, s.requests_source_selection);
+    assert_eq!(b.requests_analysis, s.requests_analysis);
+    assert_eq!(b.requests_execution, s.requests_execution);
+    assert!(b.total_requests() > 0);
+}
+
 #[test]
 fn correlated_optional_filter_sees_outer_bindings() {
     // SPARQL LeftJoin(P1, P2, F): the filter inside OPTIONAL references an
